@@ -20,6 +20,10 @@ type Doer func(ctx context.Context, i int) (status int, body []byte, err error)
 type Sample struct {
 	// Due is when the schedule said to send; zero in a closed loop.
 	Due time.Duration
+	// Claimed is when a connection took the request from the list: at once
+	// if the connection was free before the request was due, else when it
+	// became free.
+	Claimed time.Duration
 	// Sent is when a connection was free to send it.
 	Sent time.Duration
 	// Done is when the response was read.
@@ -29,10 +33,22 @@ type Sample struct {
 	Err    error
 }
 
-// Latency is the time from the scheduled send to the response. A stall is
-// charged to every request that was due while it lasted, not just to the
-// one that hit it.
-func (s Sample) Latency() time.Duration { return s.Done - s.Due }
+// Latency is the time from the scheduled send to the response when the
+// request had to wait for a connection: a stall is charged to every request
+// that was due while it lasted, not just to the one that hit it. A request
+// whose connection was free before it fell due is timed from its send
+// instead, so the generator's own timer overshoot (up to a millisecond for
+// sub-millisecond waits) is not counted as the server's.
+func (s Sample) Latency() time.Duration { return s.Done - s.Start() }
+
+// Start is when the request's latency starts counting: its send when its
+// connection was free before it fell due, else its due time.
+func (s Sample) Start() time.Duration {
+	if s.Claimed < s.Due {
+		return s.Sent
+	}
+	return s.Due
+}
 
 // Lag is how far behind schedule the request was sent.
 func (s Sample) Lag() time.Duration { return s.Sent - s.Due }
@@ -75,6 +91,7 @@ func run(ctx context.Context, n, conns int, due func(int) time.Duration, do Doer
 					return
 				}
 				s := &samples[i]
+				s.Claimed = time.Since(start)
 				if due != nil {
 					s.Due = due(i)
 					if wait := s.Due - time.Since(start); wait > 0 {

@@ -107,3 +107,21 @@ func TestConnsNeverExceedCPUs(t *testing.T) {
 		t.Fatalf("server saw %d connections, more than %d CPUs", len(seen), runtime.NumCPU())
 	}
 }
+
+// TestLatencyStart pins where latency starts counting: at the due time for
+// a request that waited for a connection, at the send for one whose
+// connection was free early and whose timer woke late.
+func TestLatencyStart(t *testing.T) {
+	ms := time.Millisecond
+	queued := Sample{Due: 10 * ms, Claimed: 14 * ms, Sent: 14 * ms, Done: 15 * ms}
+	if got := queued.Latency(); got != 5*ms {
+		t.Errorf("queued request: latency %v, want 5ms from its due time", got)
+	}
+	early := Sample{Due: 10 * ms, Claimed: 9 * ms, Sent: 11 * ms, Done: 12 * ms}
+	if got := early.Latency(); got != ms {
+		t.Errorf("request on a free connection: latency %v, want its 1ms round trip", got)
+	}
+	if got := early.Lag(); got != ms {
+		t.Errorf("timer overshoot: lag %v, want 1ms", got)
+	}
+}

@@ -32,7 +32,7 @@ func main() {
 	// korserve and must not take more than its share.
 	runtime.GOMAXPROCS(runtime.NumCPU())
 	var o options
-	flag.StringVar(&o.workload, "workload", "", "workload name (lazy-unique, indexed-zipf, city-churn)")
+	flag.StringVar(&o.workload, "workload", "", "workload name (lazy-unique, road-zipf, city-zipf, indexed-zipf, city-churn)")
 	flag.Int64Var(&o.seed, "seed", 1, "seed of the request stream")
 	flag.IntVar(&o.seconds, "seconds", 40, "how long the measured phases run at the rates the workload fixes")
 	trace := flag.Int("trace", 0, "1 adds the in-process traced run and prints the per-layer metrics")

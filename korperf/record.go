@@ -73,12 +73,16 @@ type korserveBuild struct {
 }
 
 type sampleCounts struct {
-	Closed    int `json:"closed"`
-	Open      int `json:"open"`
-	Verify    int `json:"verify"`
-	Patches   int `json:"patches"`
-	Latency   int `json:"latency"`
-	BeyondP99 int `json:"beyond_p99"`
+	Closed  int `json:"closed"`
+	Open    int `json:"open"`
+	Verify  int `json:"verify"`
+	Patches int `json:"patches"`
+	// Latency counts the open-loop reads that saw no steal, which the
+	// latency metrics are taken over; LatencyAll counts every open-loop
+	// read.
+	Latency    int `json:"latency"`
+	LatencyAll int `json:"latency_all"`
+	BeyondP99  int `json:"beyond_p99"`
 }
 
 // record is everything one run measured, saved as JSON next to the others.
@@ -91,10 +95,15 @@ type record struct {
 	Failures        map[string]int     `json:"failures"`
 	FailureExamples []string           `json:"failure_examples,omitempty"`
 	Samples         sampleCounts       `json:"samples"`
-	// LatencyMS is the open-loop latency at a few more quantiles, to show
-	// the shape of the tail around the reported p50 and p99.
-	LatencyMS     map[string]float64 `json:"latency_ms"`
-	SetupSamplesS []float64          `json:"setup_samples_s"`
+	// LatencyMS is the open-loop latency of the reads without steal at
+	// a few more quantiles, to show the shape of the tail around the
+	// reported p50 and p99; LatencyAllMS is the same over every read.
+	LatencyMS    map[string]float64 `json:"latency_ms"`
+	LatencyAllMS map[string]float64 `json:"latency_all_ms"`
+	// StealShare is the share of the machine's CPU time the hypervisor
+	// took during the open loop.
+	StealShare    float64   `json:"steal_share"`
+	SetupSamplesS []float64 `json:"setup_samples_s"`
 	// IndexBuildS is the distance index's build time, a preparation cost
 	// reported here and never timed as set-up; 0 without an index.
 	IndexBuildS     float64 `json:"index_build_s"`
@@ -143,8 +152,8 @@ func (r *record) printSummary(w io.Writer) {
 	fmt.Fprintf(w, "workload %s seed %d: graphs %v, stream %s, korserve %s\n",
 		id.Workload, id.Seed, id.Graphs, id.StreamDigest, id.Korserve.BinarySHA256[:min(12, len(id.Korserve.BinarySHA256))])
 	s := r.Samples
-	fmt.Fprintf(w, "samples: closed %d, open %d (latency %d, %d beyond p99), verify %d, patches %d\n",
-		s.Closed, s.Open, s.Latency, s.BeyondP99, s.Verify, s.Patches)
+	fmt.Fprintf(w, "samples: closed %d, open %d (latency over %d of %d reads, %d beyond p99; steal %.1f%% of CPU time), verify %d, patches %d\n",
+		s.Closed, s.Open, s.Latency, s.LatencyAll, s.BeyondP99, 100*r.StealShare, s.Verify, s.Patches)
 	if s.BeyondP99 < 10 {
 		fmt.Fprintf(w, "warning: only %d latency samples beyond p99; run longer for a resolved tail\n", s.BeyondP99)
 	}

@@ -15,6 +15,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"runtime/debug"
 	"slices"
 	"strconv"
 	"time"
@@ -39,6 +40,8 @@ type exchange struct {
 	phase  string
 	item   workload.Item
 	sample load.Sample
+	// quiet marks an open-loop read that saw no steal.
+	quiet bool
 }
 
 func run(ctx context.Context, o options) (*record, error) {
@@ -129,12 +132,18 @@ func run(ctx context.Context, o options) (*record, error) {
 	if err != nil {
 		return nil, err
 	}
+	restoreGC := pauseGC()
 	closed, closedWall := load.Closed(ctx, len(plan.Closed), conns, doer(client, srv.base, plan.Closed))
+	restoreGC()
 	cpu1, err := srv.cpu()
 	if err != nil {
 		return nil, err
 	}
+	restoreGC = pauseGC()
+	meter := startSteal()
 	open, _ := load.Open(ctx, len(plan.Open), conns, spec.Rate, doer(client, srv.base, plan.Open))
+	steal := meter.finish()
+	restoreGC()
 	after, err := srv.scrape(ctx, client)
 	if err != nil {
 		return nil, err
@@ -154,6 +163,14 @@ func run(ctx context.Context, o options) (*record, error) {
 		return nil, err
 	}
 
+	// Open-loop latency counts the reads that saw no steal: when the
+	// hypervisor takes a CPU away for milliseconds, it, not korserve, sets
+	// the latency of the reads in flight.
+	intervals := make([][2]time.Duration, len(open))
+	for i, s := range open {
+		intervals[i] = [2]time.Duration{s.Start(), s.Done}
+	}
+	quiet := quietSamples(steal, intervals)
 	var exchanges []exchange
 	for _, ph := range []struct {
 		name    string
@@ -166,13 +183,13 @@ func run(ctx context.Context, o options) (*record, error) {
 		{"verify", verifyItems, verify},
 	} {
 		for i, s := range ph.samples {
-			exchanges = append(exchanges, exchange{ph.name, ph.items[i], s})
+			exchanges = append(exchanges, exchange{ph.name, ph.items[i], s, ph.name == "open" && quiet[i]})
 		}
 	}
 
-	// Check every answer. Open-loop latency counts every read, answered
-	// or not; the other timings come from accepted answers.
-	var latencies, lags, overheads, patches []float64
+	// Check every answer. Open-loop latency counts every quiet read,
+	// answered or not; the other timings come from accepted answers.
+	var latencies, allLatencies, lags, overheads, patches []float64
 	var bodyBytes, reads, patchCount int
 	answers := make([]check.Answer, len(plan.Verify))
 	verifyIdx := 0
@@ -182,7 +199,10 @@ func run(ctx context.Context, o options) (*record, error) {
 		if ex.phase == "open" {
 			lags = append(lags, ms(s.Lag()))
 			if ex.item.Patch == nil {
-				latencies = append(latencies, ms(s.Latency()))
+				allLatencies = append(allLatencies, ms(s.Latency()))
+				if ex.quiet {
+					latencies = append(latencies, ms(s.Latency()))
+				}
 			}
 		}
 		if ex.item.Patch != nil {
@@ -228,17 +248,20 @@ func run(ctx context.Context, o options) (*record, error) {
 	rec.EndToEnd["capacity_qps"] = float64(countReads(plan.Closed)) / closedWall.Seconds()
 	rec.EndToEnd["ok_share"] = 1 - float64(rec.Failed)/float64(rec.Attempted)
 	rec.EndToEnd["patch_p50_ms"] = median(patches)
-	rec.LatencyMS = map[string]float64{}
+	rec.LatencyMS, rec.LatencyAllMS = map[string]float64{}, map[string]float64{}
 	for _, q := range []float64{0.5, 0.9, 0.95, 0.98, 0.99, 0.995, 1} {
 		rec.LatencyMS[strconv.FormatFloat(q, 'g', -1, 64)] = quantile(latencies, q)
+		rec.LatencyAllMS[strconv.FormatFloat(q, 'g', -1, 64)] = quantile(allLatencies, q)
 	}
+	rec.StealShare = stealShare(steal, runtime.NumCPU())
 	rec.Samples = sampleCounts{
-		Closed:    len(closed),
-		Open:      len(open),
-		Verify:    len(verify),
-		Patches:   patchCount,
-		Latency:   len(latencies),
-		BeyondP99: len(latencies) - int(math.Ceil(0.99*float64(len(latencies)))),
+		Closed:     len(closed),
+		Open:       len(open),
+		Verify:     len(verify),
+		Patches:    patchCount,
+		Latency:    len(latencies),
+		LatencyAll: len(allLatencies),
+		BeyondP99:  len(latencies) - int(math.Ceil(0.99*float64(len(latencies)))),
 	}
 
 	if !o.trace {
@@ -487,6 +510,24 @@ func writeSpans(path string, spans []trace.Span) error {
 		return err
 	}
 	return os.WriteFile(path, b, 0o644)
+}
+
+// gcLimit is the heap size at which the generator collects garbage while
+// a measured phase runs.
+const gcLimit = 384 << 20
+
+// pauseGC collects garbage now and then holds the generator's collector
+// off until its heap reaches gcLimit, so that its mark work does not take
+// CPU from korserve in the middle of a measured phase. The returned
+// function restores the previous settings.
+func pauseGC() (restore func()) {
+	runtime.GC()
+	percent := debug.SetGCPercent(-1)
+	limit := debug.SetMemoryLimit(gcLimit)
+	return func() {
+		debug.SetGCPercent(percent)
+		debug.SetMemoryLimit(limit)
+	}
 }
 
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
