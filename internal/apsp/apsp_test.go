@@ -294,30 +294,36 @@ func pathScores(t *testing.T, g *graph.Graph, path []graph.NodeID, m Metric) (os
 	return os, bs
 }
 
+// TestLazyPrefetchHints pins the hint contract: each hint runs exactly one
+// τ sweep, and τ lookups through the hinted node run no further sweep. σ is
+// never prefetched — the label algorithms answer σ from Δ-bounded sweeps of
+// their own, so a full σ sweep per hint would go unread.
 func TestLazyPrefetchHints(t *testing.T) {
 	g := buildPaperGraph(t)
 	lazy := NewLazyOracle(g)
 	PrefetchTarget(lazy, 7)
 	sweepsAfterPrefetch := lazy.SweepCount()
-	if sweepsAfterPrefetch != 2 {
-		t.Fatalf("PrefetchTarget ran %d sweeps, want 2", sweepsAfterPrefetch)
+	if sweepsAfterPrefetch != 1 {
+		t.Fatalf("PrefetchTarget ran %d sweeps, want 1", sweepsAfterPrefetch)
 	}
-	// Queries into the prefetched target must not trigger new sweeps.
+	// τ queries into the prefetched target must not trigger new sweeps.
 	for v := graph.NodeID(0); int(v) < g.NumNodes(); v++ {
 		lazy.MinObjective(v, 7)
-		lazy.MinBudget(v, 7)
 	}
 	if lazy.SweepCount() != sweepsAfterPrefetch {
-		t.Errorf("queries into prefetched target ran %d extra sweeps", lazy.SweepCount()-sweepsAfterPrefetch)
+		t.Errorf("τ queries into prefetched target ran %d extra sweeps", lazy.SweepCount()-sweepsAfterPrefetch)
 	}
-	// Forward prefetch covers (source, ·) queries.
+	// Forward prefetch covers (source, ·) τ queries.
 	PrefetchSource(lazy, 0)
 	base := lazy.SweepCount()
+	if base != sweepsAfterPrefetch+1 {
+		t.Fatalf("PrefetchSource ran %d sweeps, want 1", base-sweepsAfterPrefetch)
+	}
 	for v := graph.NodeID(0); int(v) < g.NumNodes(); v++ {
 		lazy.MinObjective(0, v)
 	}
 	if lazy.SweepCount() != base {
-		t.Errorf("queries from prefetched source ran %d extra sweeps", lazy.SweepCount()-base)
+		t.Errorf("τ queries from prefetched source ran %d extra sweeps", lazy.SweepCount()-base)
 	}
 	// Prefetch hints on a dense oracle are a no-op, not a crash.
 	PrefetchSource(NewMatrixOracle(g), 0)

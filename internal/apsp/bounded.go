@@ -24,11 +24,7 @@ type Sweep struct {
 // Scores returns the (objective, budget) scores of the metric-optimal path
 // from v into the sweep's root.
 func (s *Sweep) Scores(v graph.NodeID) (os, bs float64, ok bool) {
-	if !s.s.reached(v) {
-		return 0, 0, false
-	}
-	os, bs = s.s.scores(v, s.m)
-	return os, bs, true
+	return s.s.at(v, s.m)
 }
 
 // ReverseBoundedSweep runs a reverse two-criteria Dijkstra into root,

@@ -11,8 +11,8 @@ import (
 // dense tables. A reverse sweep into a target answers every (·, target)
 // query; a forward sweep answers every (source, ·) query. The route-search
 // algorithms hint their access patterns through the Prefetcher interface:
-// OSScaling and BucketBound pin the query target (and the strategy-2
-// keyword nodes), Greedy pins its current route head.
+// the label algorithms pin the query target, Greedy also its current route
+// head. Hints run τ sweeps only (see PrefetchSource).
 //
 // Sweeps are cached with FIFO eviction bounded by capacity, so memory stays
 // O(capacity·|V|) on the 20k-node scalability graphs.
@@ -194,25 +194,12 @@ func (o *LazyOracle) lookup(from, to graph.NodeID, m Metric) (float64, float64, 
 		return 0, 0, true
 	}
 	if s := o.rev.peek(sweepKey{to, m}); s != nil {
-		if !s.reached(from) {
-			return 0, 0, false
-		}
-		os, bs := s.scores(from, m)
-		return os, bs, true
+		return s.at(from, m)
 	}
 	if s := o.fwd.peek(sweepKey{from, m}); s != nil {
-		if !s.reached(to) {
-			return 0, 0, false
-		}
-		os, bs := s.scores(to, m)
-		return os, bs, true
+		return s.at(to, m)
 	}
-	s := o.reverse(to, m)
-	if !s.reached(from) {
-		return 0, 0, false
-	}
-	os, bs := s.scores(from, m)
-	return os, bs, true
+	return o.reverse(to, m).at(from, m)
 }
 
 // MinObjective returns the scores of τ(from,to).
@@ -225,16 +212,17 @@ func (o *LazyOracle) MinBudget(from, to graph.NodeID) (float64, float64, bool) {
 	return o.lookup(from, to, ByBudget)
 }
 
-// PrefetchSource caches forward sweeps from this node under both metrics.
+// PrefetchSource caches the forward τ sweep from this node. Only τ is
+// prefetched: the σ lookups of the label algorithms are answered from
+// Δ-bounded sweeps the query plan owns, so a full σ sweep would go unread.
 func (o *LazyOracle) PrefetchSource(from graph.NodeID) {
 	o.forward(from, ByObjective)
-	o.forward(from, ByBudget)
 }
 
-// PrefetchTarget caches reverse sweeps into this node under both metrics.
+// PrefetchTarget caches the reverse τ sweep into this node; see
+// PrefetchSource for why σ is left to the plan's bounded sweeps.
 func (o *LazyOracle) PrefetchTarget(to graph.NodeID) {
 	o.reverse(to, ByObjective)
-	o.reverse(to, ByBudget)
 }
 
 // MinObjectivePath materializes τ(from,to), reusing a cached sweep when one

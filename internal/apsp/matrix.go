@@ -60,15 +60,11 @@ func NewMatrixOracle(g *graph.Graph) *MatrixOracle {
 		go func() {
 			defer wg.Done()
 			for from := range rows {
-				tau := dijkstra(g, graph.NodeID(from), ByObjective, false)
-				sig := dijkstra(g, graph.NodeID(from), ByBudget, false)
-				base := from * n
-				copy(o.tauObj[base:base+n], tau.primary)
-				copy(o.tauBud[base:base+n], tau.secondary)
-				copy(o.tauPar[base:base+n], tau.parent)
-				copy(o.sigBud[base:base+n], sig.primary)
-				copy(o.sigObj[base:base+n], sig.secondary)
-				copy(o.sigPar[base:base+n], sig.parent)
+				row := from * n
+				dijkstra(g, graph.NodeID(from), ByObjective, false).
+					fillDense(o.tauObj[row:row+n], o.tauBud[row:row+n], o.tauPar[row:row+n])
+				dijkstra(g, graph.NodeID(from), ByBudget, false).
+					fillDense(o.sigBud[row:row+n], o.sigObj[row:row+n], o.sigPar[row:row+n])
 			}
 		}()
 	}

@@ -234,9 +234,10 @@ func workerCount(jobs int) int {
 	return w
 }
 
-// buildCellTables runs restricted two-criteria Dijkstra inside every region,
-// cells distributed over a worker pool (each cell's tables are written only
-// by its worker, so no synchronization beyond the WaitGroup is needed).
+// buildCellTables fills every region's all-pairs tables with the package
+// sweep kernel run over the region's induced subgraph, cells distributed
+// over a worker pool (each cell's tables are written only by its worker, so
+// no synchronization beyond the WaitGroup is needed).
 func (o *PartitionedOracle) buildCellTables() {
 	var wg sync.WaitGroup
 	jobs := make(chan int)
@@ -247,15 +248,16 @@ func (o *PartitionedOracle) buildCellTables() {
 			for ci := range jobs {
 				cell := &o.cells[ci]
 				k := len(cell.nodes)
-				cell.tauP = newInfSlice(k * k)
-				cell.tauS = newInfSlice(k * k)
-				cell.sigP = newInfSlice(k * k)
-				cell.sigS = newInfSlice(k * k)
-				cell.tauPar = newNoParentSlice(k * k)
-				cell.sigPar = newNoParentSlice(k * k)
+				sub := o.cellGraph(cell)
+				cell.tauP, cell.tauS = make([]float64, k*k), make([]float64, k*k)
+				cell.sigP, cell.sigS = make([]float64, k*k), make([]float64, k*k)
+				cell.tauPar, cell.sigPar = make([]int32, k*k), make([]int32, k*k)
 				for li := 0; li < k; li++ {
-					o.restrictedSweep(cell, li, ByObjective, cell.tauP, cell.tauS, cell.tauPar)
-					o.restrictedSweep(cell, li, ByBudget, cell.sigP, cell.sigS, cell.sigPar)
+					row := li * k
+					dijkstra(sub, graph.NodeID(li), ByObjective, false).
+						fillDense(cell.tauP[row:row+k], cell.tauS[row:row+k], cell.tauPar[row:row+k])
+					dijkstra(sub, graph.NodeID(li), ByBudget, false).
+						fillDense(cell.sigP[row:row+k], cell.sigS[row:row+k], cell.sigPar[row:row+k])
 				}
 			}
 		}()
@@ -267,51 +269,25 @@ func (o *PartitionedOracle) buildCellTables() {
 	wg.Wait()
 }
 
-// restrictedSweep is Dijkstra from cell.nodes[src], never leaving the
-// region, writing row src of the (primary, secondary, parent) tables.
-// Parents are local indices within the cell.
-func (o *PartitionedOracle) restrictedSweep(cell *cellTables, src int, m Metric, prim, sec []float64, par []int32) {
-	k := len(cell.nodes)
-	row := src * k
-	prim[row+src] = 0
-	sec[row+src] = 0
-	// The cells are small; a simple slice-scan frontier keeps this free of
-	// allocation churn without another heap type.
-	done := make([]bool, k)
-	for {
-		best := -1
-		for i := 0; i < k; i++ {
-			if done[i] || math.IsInf(prim[row+i], 1) {
-				continue
-			}
-			if best == -1 || prim[row+i] < prim[row+best] ||
-				(prim[row+i] == prim[row+best] && sec[row+i] < sec[row+best]) {
-				best = i
-			}
-		}
-		if best == -1 {
-			return
-		}
-		done[best] = true
-		v := cell.nodes[best]
+// cellGraph is the subgraph induced by cell's region, with local indices as
+// node IDs, so parents in the cell tables are local indices. Each node keeps
+// its in-region edges in their original order, and ties settle by lowest
+// local index, exactly as over the full graph restricted to the region.
+func (o *PartitionedOracle) cellGraph(cell *cellTables) *graph.Graph {
+	bld := graph.NewBuilder()
+	for range cell.nodes {
+		bld.AddNode()
+	}
+	for li, v := range cell.nodes {
 		for _, e := range o.g.Out(v) {
-			if o.region[e.To] != o.region[v] {
-				continue
-			}
-			li := int(o.local[e.To])
-			var p, s float64
-			if m == ByObjective {
-				p, s = prim[row+best]+e.Objective, sec[row+best]+e.Budget
-			} else {
-				p, s = prim[row+best]+e.Budget, sec[row+best]+e.Objective
-			}
-			if p < prim[row+li] || (p == prim[row+li] && s < sec[row+li]) {
-				prim[row+li] = p
-				sec[row+li] = s
-				par[row+li] = int32(best)
+			if o.region[e.To] == o.region[v] {
+				// Ignore the impossible error: the edge was validated when g
+				// was built.
+				_ = bld.AddEdge(graph.NodeID(li), graph.NodeID(o.local[e.To]), e.Objective, e.Budget)
 			}
 		}
 	}
+	return bld.MustBuild()
 }
 
 // buildOverlay assembles the border graph per metric and computes all-pairs
@@ -341,10 +317,9 @@ func (o *PartitionedOracle) buildOverlay() {
 					// The overlay graph stores the sweep's primary metric in
 					// the Objective slot regardless of m, so sweep with
 					// ByObjective.
-					s := dijkstra(overlay, graph.NodeID(from), ByObjective, false)
-					copy(prim[from*b:(from+1)*b], s.primary)
-					copy(sec[from*b:(from+1)*b], s.secondary)
-					copy(par[from*b:(from+1)*b], s.parent)
+					row := from * b
+					dijkstra(overlay, graph.NodeID(from), ByObjective, false).
+						fillDense(prim[row:row+b], sec[row:row+b], par[row:row+b])
 				}
 			}()
 		}

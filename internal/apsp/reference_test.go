@@ -4,7 +4,13 @@ import (
 	"math"
 
 	"kor/internal/graph"
+	"kor/internal/pqueue"
 )
+
+// Reference implementations the oracles and the sweep kernel are verified
+// against. Both are test-only: Floyd-Warshall is O(|V|³), and the dense
+// Dijkstra allocates and fills five |V|-long arrays per sweep, which is
+// exactly the cost the slot-indexed kernel in dijkstra.go avoids.
 
 // floydTables is the textbook Floyd-Warshall the paper cites for its
 // pre-processing, run once per metric with lexicographic (primary,
@@ -79,4 +85,66 @@ func (t *floydTables) at(i, j graph.NodeID) (float64, float64, bool) {
 		return 0, 0, false
 	}
 	return p, t.secondary[int(i)*t.n+int(j)], true
+}
+
+// denseSweep is a sweep in the dense layout: one primary, secondary and
+// parent entry per graph node, +Inf scores for unreached nodes.
+type denseSweep struct {
+	primary   []float64
+	secondary []float64
+	parent    []int32
+}
+
+// denseDijkstra is the textbook two-criteria Dijkstra over dense per-node
+// arrays and the generic binary heap, truncated at a primary-metric bound.
+// The slot-indexed kernel must reproduce its reached set, scores and parents
+// bit for bit.
+func denseDijkstra(g *graph.Graph, root graph.NodeID, m Metric, reverse bool, bound float64) *denseSweep {
+	n := g.NumNodes()
+	s := &denseSweep{
+		primary:   make([]float64, n),
+		secondary: make([]float64, n),
+		parent:    make([]int32, n),
+	}
+	for i := range s.primary {
+		s.primary[i] = math.Inf(1)
+		s.secondary[i] = math.Inf(1)
+		s.parent[i] = noParent
+	}
+	s.primary[root] = 0
+	s.secondary[root] = 0
+
+	adj := g.Out
+	if reverse {
+		adj = g.In
+	}
+	h := pqueue.NewWithCapacity(n, itemLess)
+	h.Push(dijkstraItem{node: root})
+	done := make([]bool, n)
+	for !h.Empty() {
+		it := h.Pop()
+		if done[it.node] {
+			continue
+		}
+		done[it.node] = true
+		for _, e := range adj(it.node) {
+			var p, sec float64
+			if m == ByObjective {
+				p, sec = it.primary+e.Objective, it.secondary+e.Budget
+			} else {
+				p, sec = it.primary+e.Budget, it.secondary+e.Objective
+			}
+			v := e.To
+			if p > bound {
+				continue
+			}
+			if p < s.primary[v] || (p == s.primary[v] && sec < s.secondary[v]) {
+				s.primary[v] = p
+				s.secondary[v] = sec
+				s.parent[v] = int32(it.node)
+				h.Push(dijkstraItem{node: v, primary: p, secondary: sec})
+			}
+		}
+	}
+	return s
 }

@@ -63,7 +63,7 @@ func (p *plan) runGreedy() (Result, error) {
 	if p.opts.BudgetPriority {
 		// This variant promises BS ≤ Δ; when even σ(s,t) busts Δ no route
 		// can honour that promise.
-		if _, sbs, ok := oracle.MinBudget(p.q.Source, p.q.Target); !ok || sbs > p.q.Budget {
+		if _, sbs, ok := p.sigTo(p.q.Source); !ok || sbs > p.q.Budget {
 			return Result{Metrics: p.metrics}, ErrNoRoute
 		}
 	}
@@ -228,7 +228,6 @@ func (p *plan) greedyStep(st greedyOutcome, nodeSet []graph.NodeID, best *greedy
 // finishGreedy appends the final leg to the target (lines 12–13) and keeps
 // the outcome if it beats the best so far.
 func (p *plan) finishGreedy(st greedyOutcome, best *greedyOutcome, haveBest *bool, better func(a, b greedyOutcome) bool) {
-	oracle := p.s.oracle
 	cur := st.waypoints[len(st.waypoints)-1]
 	legMetric := apsp.ByObjective
 	tailOS, tailBS, ok := p.tauTo(cur)
@@ -237,7 +236,7 @@ func (p *plan) finishGreedy(st greedyOutcome, best *greedyOutcome, haveBest *boo
 	}
 	if p.opts.BudgetPriority && st.bs+tailBS > p.q.Budget {
 		// Try the cheap σ leg before giving up on Δ.
-		sigOS, sigBS, sok := oracle.MinBudget(cur, p.q.Target)
+		sigOS, sigBS, sok := p.sigTo(cur)
 		if !sok || st.bs+sigBS > p.q.Budget {
 			return // dead branch: no leg to the target fits Δ
 		}
@@ -268,9 +267,14 @@ func (p *plan) materializeGreedy(out greedyOutcome) (Route, error) {
 		from, to := out.waypoints[i-1], out.waypoints[i]
 		var seg []graph.NodeID
 		var ok bool
-		if out.legMetric[i-1] == apsp.ByObjective {
+		switch {
+		case out.legMetric[i-1] == apsp.ByObjective:
 			seg, ok = p.s.oracle.MinObjectivePath(from, to)
-		} else {
+		case p.useBounded:
+			// A σ leg always ends at the target: walk the Δ-bounded sweep
+			// its scores came from (see sigTo).
+			seg, ok = p.boundedSigSweep(to).WalkFrom(from)
+		default:
 			seg, ok = p.s.oracle.MinBudgetPath(from, to)
 		}
 		if !ok {

@@ -52,12 +52,12 @@ type plan struct {
 	infreq    []viaNode
 
 	// Candidate-subgraph sweeps: on sweep-backed (lazy) oracles the plan
-	// owns bounded reverse sweeps into its candidate nodes — the strategy-1
-	// jump nodes and strategy-2 keyword nodes — instead of forcing
-	// full-graph sweeps through the shared caches. σ sweeps are truncated at
-	// the query budget Δ, strategy-2 τ sweeps at the upper bound U; both
-	// truncations only drop nodes whose answers could never matter to this
-	// query.
+	// owns bounded reverse sweeps into the target and its candidate nodes —
+	// the strategy-1 jump nodes and strategy-2 keyword nodes — instead of
+	// forcing full-graph sweeps through the shared caches. σ sweeps are
+	// truncated at the query budget Δ, strategy-2 τ sweeps at the upper
+	// bound U; both truncations only drop nodes whose answers could never
+	// matter to this query.
 	useBounded bool
 	boundedSig map[graph.NodeID]*apsp.Sweep
 	tauVia     map[graph.NodeID]*apsp.Sweep
@@ -195,7 +195,7 @@ func (s *Searcher) newPlan(ctx context.Context, q Query, opts Options) (*plan, e
 	}
 
 	// The dominant shared-oracle lookups all point into the target; pin its
-	// sweeps first so the strategy precomputations below are cheap.
+	// τ sweep first so the strategy precomputations below are cheap.
 	apsp.PrefetchTarget(s.oracle, q.Target)
 
 	// Strategy 1 candidates: uncovered-keyword nodes, rarest keyword first,
@@ -297,7 +297,7 @@ func (p *plan) sigBudgetTo(v graph.NodeID) (float64, bool) {
 	}
 	e := p.tailEntryFor(v)
 	if e.flags&tailSigmaDone == 0 {
-		_, bs, ok := p.s.oracle.MinBudget(v, p.q.Target)
+		_, bs, ok := p.sigTo(v)
 		e.flags |= tailSigmaDone
 		if ok {
 			e.flags |= tailSigmaOK
@@ -308,6 +308,17 @@ func (p *plan) sigBudgetTo(v graph.NodeID) (float64, bool) {
 		return 0, false
 	}
 	return e.sbs, true
+}
+
+// sigTo returns the scores of σ(v, target). On a sweep-backed oracle they
+// come from the plan's Δ-bounded sweep into the target, so ok=false also
+// covers "only past Δ": every caller rejects a σ tail over Δ anyway, and the
+// oracle's full-graph σ sweep into the target is never run.
+func (p *plan) sigTo(v graph.NodeID) (os, bs float64, ok bool) {
+	if p.useBounded {
+		return p.boundedSigSweep(p.q.Target).Scores(v)
+	}
+	return p.s.oracle.MinBudget(v, p.q.Target)
 }
 
 // tauTo returns the scores of τ(v, target), memoized per plan. On sliced

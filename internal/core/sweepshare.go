@@ -30,9 +30,12 @@ import (
 // version that produced them — the same invalidation discipline as the
 // engine's result cache.
 
-// sweepShareCap bounds the cache FIFO-style. Sweeps are Δ-truncated balls for
-// candidates and full-graph sweeps for reconstruction tails; 256 of them on
-// the bench graphs is a few MB.
+// sweepShareCap bounds the cache FIFO-style. Sweeps are Δ- or U-truncated
+// balls for targets and candidates, and full-graph sweeps for reconstruction
+// tails on oracles that neither index paths nor sweep on demand. An entry
+// costs 4 B per graph node plus 20 B per node it reached: on the 8,000-node
+// road graph 256 balls of ~800 nodes hold ~12 MB, and 256 full-graph sweeps
+// would hold ~49 MB.
 const sweepShareCap = 256
 
 // sweepShareKey identifies a sweep by its root and primary metric; the bound

@@ -223,3 +223,74 @@ func TestSweepShareEviction(t *testing.T) {
 		t.Fatalf("cache holds %d entries, cap is 2 (plus bounded slack)", n)
 	}
 }
+
+// budgetSpy is a lazy oracle that counts every σ request reaching it.
+type budgetSpy struct {
+	*apsp.LazyOracle
+	mu          sync.Mutex
+	minBudget   int
+	budgetPaths int
+}
+
+func (s *budgetSpy) MinBudget(from, to graph.NodeID) (float64, float64, bool) {
+	s.mu.Lock()
+	s.minBudget++
+	s.mu.Unlock()
+	return s.LazyOracle.MinBudget(from, to)
+}
+
+func (s *budgetSpy) MinBudgetPath(from, to graph.NodeID) ([]graph.NodeID, bool) {
+	s.mu.Lock()
+	s.budgetPaths++
+	s.mu.Unlock()
+	return s.LazyOracle.MinBudgetPath(from, to)
+}
+
+// TestLazySigmaTailsUseBoundedSweeps: on a sweep-backed oracle every
+// σ(·, target) lookup — the plan's budget tails, Greedy's budget-priority
+// start check, its σ final leg and that leg's path — is answered from the
+// plan's Δ-bounded sweep into the target, so LazyOracle.MinBudget is never
+// called and no full-graph σ sweep runs. The searches must still succeed.
+func TestLazySigmaTailsUseBoundedSweeps(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	budgetFirst := DefaultOptions()
+	budgetFirst.BudgetPriority = true
+	greedy2 := DefaultOptions()
+	greedy2.Width = 2
+	greedy2.BudgetPriority = true
+	found, greedyBounded := 0, 0
+	for trial := 0; trial < 40; trial++ {
+		g := randomKeywordGraph(rng, 10+rng.Intn(20), 5)
+		spy := &budgetSpy{LazyOracle: apsp.NewLazyOracle(g)}
+		s := NewSearcher(g, spy, nil)
+		q := randomQuery(rng, g, 1+rng.Intn(3))
+		for _, run := range []func() (Result, error){
+			func() (Result, error) { return s.OSScaling(q, DefaultOptions()) },
+			func() (Result, error) { return s.BucketBound(q, DefaultOptions()) },
+			func() (Result, error) { return s.Exact(q, DefaultOptions()) },
+			func() (Result, error) { return s.Greedy(q, DefaultOptions()) },
+			func() (Result, error) { return s.Greedy(q, budgetFirst) },
+			func() (Result, error) { return s.Greedy(q, greedy2) },
+		} {
+			res, err := run()
+			if err == nil {
+				found++
+			}
+			if len(res.Routes) > 0 {
+				verifyRoute(t, g, q, res.Routes[0], fmt.Sprintf("trial %d", trial))
+			}
+		}
+		s.SetSweepSharing(false) // every plan computes, so the metrics count it
+		if res, _ := s.Greedy(q, budgetFirst); res.Metrics.PlanSweeps > 0 {
+			greedyBounded++
+		}
+		if spy.minBudget != 0 || spy.budgetPaths != 0 {
+			t.Fatalf("trial %d: lazy oracle served %d σ lookups and %d σ paths",
+				trial, spy.minBudget, spy.budgetPaths)
+		}
+	}
+	if found == 0 || greedyBounded == 0 {
+		t.Fatalf("vacuous run: %d searches found routes, %d budget-priority Greedy runs used a bounded σ sweep",
+			found, greedyBounded)
+	}
+}

@@ -1,10 +1,13 @@
 // Package pqueue provides a generic binary min-heap.
 //
-// The KOR algorithms are heap-heavy: OSScaling keeps one global label queue,
-// BucketBound keeps one queue per bucket, and every shortest-path oracle runs
-// Dijkstra underneath. All of them share this implementation rather than
-// re-deriving container/heap boilerplate with interface boxing; the generic
-// heap keeps labels unboxed and the comparison inlined.
+// The label algorithms are heap-heavy: OSScaling keeps one global label
+// queue and BucketBound keeps one queue per bucket. Both share this
+// implementation rather than re-deriving container/heap boilerplate with
+// interface boxing. The heap keeps items unboxed, but its ordering is the
+// less func value supplied at construction, so every comparison is an
+// indirect call that the compiler cannot inline. The sweep kernel of
+// internal/apsp, whose comparisons dominate its run time, keeps its own
+// 4-ary heap with the comparison inlined instead.
 package pqueue
 
 // Heap is a binary min-heap ordered by the less function supplied at

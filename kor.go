@@ -381,9 +381,10 @@ func WriteDistIndex(path string, g *Graph, cellSize int) (apsp.IndexInfo, error)
 
 // lazySweepBudgetBytes bounds what each direction's sweep cache of the lazy
 // oracle may hold. The default 128-entry cap is tuned for benchmark-sized
-// graphs; at real-world scale a single sweep is tens of megabytes
-// (2×float64 + int32 per node), so an entry-count cap alone would let the
-// cache grow to gigabytes on a million-node graph.
+// graphs; at real-world scale a single full sweep is tens of megabytes
+// (an int32 slot, 2×float64 and an int32 parent per node), so an
+// entry-count cap alone would let the cache grow to gigabytes on a
+// million-node graph.
 const lazySweepBudgetBytes = 256 << 20
 
 // lazySweepCapacity converts the byte budget into a sweep-entry count for an
@@ -393,7 +394,9 @@ func lazySweepCapacity(n int) int {
 	if n <= 0 {
 		return apsp.DefaultSweepCapacity
 	}
-	const perNode = 2*8 + 4 // primary, secondary float64 + parent int32
+	// A cached sweep is a full one: the int32 slot index plus, for every
+	// node it reached, primary and secondary float64 and an int32 parent.
+	const perNode = 4 + 2*8 + 4
 	c := int(lazySweepBudgetBytes / int64(n*perNode))
 	if c > apsp.DefaultSweepCapacity {
 		return apsp.DefaultSweepCapacity

@@ -317,7 +317,7 @@ func TestLazySweepCapacity(t *testing.T) {
 	if got := lazySweepCapacity(1000); got != apsp.DefaultSweepCapacity {
 		t.Errorf("small graph capacity = %d, want default %d", got, apsp.DefaultSweepCapacity)
 	}
-	// A million-node graph: 20 MB per sweep, 256 MiB budget → 13 entries.
+	// A million-node graph: 24 MB per sweep, 256 MiB budget → 11 entries.
 	got := lazySweepCapacity(1_000_000)
 	if got >= apsp.DefaultSweepCapacity || got < 4 {
 		t.Errorf("1M-node capacity = %d, want clamped inside [4, %d)", got, apsp.DefaultSweepCapacity)
